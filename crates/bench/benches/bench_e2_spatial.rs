@@ -50,6 +50,7 @@ fn bench(c: &mut Criterion) {
                 for (_, v) in hilbert
                     .range(Bound::Included(lo_k.as_slice()), Bound::Excluded(hi_k.as_slice()))
                     .unwrap()
+                    .map(Result::unwrap)
                 {
                     if let Ok(Value::Point(p)) = asterix_adm::binary::decode(&v) {
                         if q.contains_point(&p) {

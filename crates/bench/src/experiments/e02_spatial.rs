@@ -126,6 +126,7 @@ fn linearized_probe(
         for (k, v) in tree
             .range(Bound::Included(lo_key.as_slice()), Bound::Excluded(hi_key.as_slice()))
             .unwrap()
+            .map(Result::unwrap)
         {
             candidates += 1;
             if let Ok(Value::Point(p)) = asterix_adm::binary::decode(&v) {
@@ -148,6 +149,7 @@ fn grid_probe(tree: &LsmTree, scheme: &GridScheme, q: &Rectangle) -> (Vec<Vec<u8
         for (k, v) in tree
             .range(Bound::Included(lo.as_slice()), Bound::Excluded(hi.as_slice()))
             .unwrap()
+            .map(Result::unwrap)
         {
             candidates += 1;
             if let Ok(Value::Point(p)) = asterix_adm::binary::decode(&v) {

@@ -79,7 +79,7 @@ pub fn run(quick: bool) -> ExpReport {
             }
         });
         let reads_per_op = fm.stats().physical_reads() as f64 / lookups as f64;
-        let (live, t_scan) = time_it(|| tree.scan().unwrap().len());
+        let (live, t_scan) = time_it(|| tree.count().unwrap());
         report.row(&[
             name.into(),
             tree.component_count().to_string(),

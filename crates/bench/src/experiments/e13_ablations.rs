@@ -220,7 +220,7 @@ fn ablate_compression(report: &mut ExpReport, quick: bool) {
         });
         let pages_written = fm.stats().physical_writes();
         // verify correctness of a scan after a full read path
-        let (live, t_scan) = time_it(|| tree.scan().unwrap().len());
+        let (live, t_scan) = time_it(|| tree.count().unwrap());
         assert_eq!(live as i64, n);
         report.row(&[
             "storage compression".into(),

@@ -224,7 +224,8 @@ impl DatasetPartition {
     /// the primary index.
     pub fn add_index(&mut self, idx: &IndexDef, cfg: &StorageConfig) -> Result<()> {
         let mut sec = Self::build_secondary(idx, &self.dataset.clone(), self.partition, &self.node.clone(), cfg);
-        for (pk, raw) in self.primary.scan()? {
+        for item in self.primary.scan()? {
+            let (pk, raw) = item?;
             let record = self.decode_record(&raw)?;
             Self::index_insert(&mut sec, &record, &pk)?;
         }
@@ -350,20 +351,12 @@ impl DatasetPartition {
 
     /// Full scan of live records in primary-key order.
     pub fn scan(&self) -> Result<Vec<Value>> {
-        self.primary
-            .scan()?
-            .into_iter()
-            .map(|(_, raw)| self.decode_record(&raw))
-            .collect()
+        self.pk_range(Bound::Unbounded, Bound::Unbounded)
     }
 
     /// Primary-key range scan.
     pub fn pk_range(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Result<Vec<Value>> {
-        self.primary
-            .range(lo, hi)?
-            .into_iter()
-            .map(|(_, raw)| self.decode_record(&raw))
-            .collect()
+        self.primary.range(lo, hi)?.map(|item| self.decode_record(&item?.1)).collect()
     }
 
     /// Candidate PKs from a secondary B+ tree index for `[lo, hi]` on the
@@ -387,7 +380,8 @@ impl DatasetPartition {
             (Some(k), false) => Bound::Excluded(k.as_slice()),
         };
         let mut out = Vec::new();
-        for (k, _) in tree.range(lo_bound, Bound::Unbounded)? {
+        for item in tree.range(lo_bound, Bound::Unbounded)? {
+            let (k, _) = item?;
             let parts = asterix_adm::binary::decode_key(&k).map_err(CoreError::Adm)?;
             let (sk, pk_parts) = parts.split_first().ok_or_else(|| {
                 CoreError::Storage(asterix_storage::StorageError::Corrupt(

@@ -222,8 +222,7 @@ impl MergeJob {
         }
         let Some(finished) = run.take() else { return Ok(JobStep::Done) };
         drop(run);
-        let written = finished.written();
-        let new_comp = self.shared.merge_finish(finished)?;
+        let (new_comp, written) = self.shared.merge_finish(finished)?;
         let comps = std::mem::take(&mut *self.comps.lock()); // xlint: lock(lsm_merge_inputs)
         self.shared.complete_merge(comps, new_comp, written, self.cascade);
         Ok(JobStep::Done)

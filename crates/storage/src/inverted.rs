@@ -88,10 +88,8 @@ impl InvertedIndex {
         // All composite keys whose first part equals `token` sort directly
         // after the 1-part prefix key and before the next token.
         let mut out = Vec::new();
-        for (k, _) in self
-            .tree
-            .range(Bound::Included(lo.as_slice()), Bound::Unbounded)?
-        {
+        for item in self.tree.range(Bound::Included(lo.as_slice()), Bound::Unbounded)? {
+            let (k, _) = item?;
             let parts = decode_key(&k)?;
             match parts.first() {
                 Some(Value::String(s)) if *s == token => {

@@ -10,6 +10,11 @@
 //! pluggable [`MergePolicy`] decides when to merge disk components
 //! (experiment E8 compares the policies).
 //!
+//! Range reads and merges are the same step — a newest-wins merge of sorted
+//! components — and share one implementation, [`MergeCursor`]. A range read
+//! streams the cursor over the memory component plus a snapshot of the disk
+//! components; a merge drains it over its input components into a new one.
+//!
 //! Merging is decoupled from the write path (see [`crate::compaction`]):
 //! `flush` publishes the new component and *schedules* a merge — run inline
 //! when no executor is installed, or handed to a background executor one
@@ -29,6 +34,7 @@ use crate::compaction::{CompactionExec, CompactionState, JobStep, LsmMetricsHub,
 use crate::error::{Result, StorageError};
 use asterix_adm::binary::compare_keys;
 use parking_lot::{Condvar, Mutex};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -87,9 +93,13 @@ impl Entry {
         }
     }
 
-    fn decode(buf: &[u8]) -> Result<Entry> {
+    /// Reverses [`Entry::encode`], reusing the buffer for the value.
+    fn decode(mut buf: Vec<u8>) -> Result<Entry> {
         match buf.first() {
-            Some(0) => Ok(Entry::Put(buf[1..].to_vec())),
+            Some(0) => {
+                buf.remove(0);
+                Ok(Entry::Put(buf))
+            }
             Some(1) => Ok(Entry::Tombstone),
             _ => Err(StorageError::Corrupt("bad LSM entry marker".into())),
         }
@@ -147,13 +157,23 @@ impl MemComponent {
         self.map.iter()
     }
 
-    /// Ordered iteration over a key range.
+    /// Ordered iteration over a key range (empty when the bounds cross).
     pub fn range(
         &self,
         lo: Bound<Vec<u8>>,
         hi: Bound<Vec<u8>>,
     ) -> impl Iterator<Item = (&KeyBytes, &Entry)> {
-        self.map.range((lo.map(KeyBytes), hi.map(KeyBytes)))
+        // `BTreeMap::range` panics on crossed bounds instead of yielding nothing.
+        let crossed = match (&lo, &hi) {
+            (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) => {
+                let ord = compare_keys(l, h);
+                let both_excluded = matches!((&lo, &hi), (Bound::Excluded(_), Bound::Excluded(_)));
+                ord.is_gt() || (ord.is_eq() && both_excluded)
+            }
+            _ => false,
+        };
+        let range = (!crossed).then(|| self.map.range((lo.map(KeyBytes), hi.map(KeyBytes))));
+        range.into_iter().flatten()
     }
 }
 
@@ -321,7 +341,7 @@ impl LsmStats {
 
 /// Atomic backing for [`LsmStats`], shared between the tree handle and
 /// in-flight background merge jobs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SharedStats {
     flushes: AtomicU64,
     merges: AtomicU64,
@@ -331,21 +351,6 @@ struct SharedStats {
     merge_stall_ns: AtomicU64,
     reads: AtomicU64,
     retire_failures: Arc<AtomicU64>,
-}
-
-impl Default for SharedStats {
-    fn default() -> Self {
-        SharedStats {
-            flushes: AtomicU64::new(0),
-            merges: AtomicU64::new(0),
-            merges_aborted: AtomicU64::new(0),
-            entries_written: AtomicU64::new(0),
-            entries_ingested: AtomicU64::new(0),
-            merge_stall_ns: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
-            retire_failures: Arc::new(AtomicU64::new(0)),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -391,23 +396,137 @@ impl Drop for DiskComponent {
 }
 
 // ---------------------------------------------------------------------------
-// Resumable merge state
+// The merge cursor
 // ---------------------------------------------------------------------------
 
-/// In-progress k-way merge: iterator heads plus the output builder. Owned by
-/// a [`MergeJob`] and advanced one morsel at a time.
+/// The one k-way merge of the LSM framework. It reads rank-ordered inputs
+/// (rank 0 = newest), each yielding strictly ascending keys in the ADM
+/// order, and yields every distinct key once, from the lowest rank that
+/// holds it. `range` runs it over the memory component plus a component
+/// snapshot; a [`MergeRun`] drains it over the merge's input components.
+///
+/// Heads are compared by reference and refilled lazily, on the next pull,
+/// so a reader that stops early has read no further than the entries it
+/// took. An input's error is yielded once; the cursor then drops every
+/// input and ends. A linear min-of-heads is enough: trees keep a handful of
+/// components.
+pub(crate) struct MergeCursor<I, K, V> {
+    ranks: Vec<Rank<I, K, V>>,
+}
+
+/// One input of a [`MergeCursor`] and its peeked, not yet yielded entry.
+struct Rank<I, K, V> {
+    /// `None` once exhausted.
+    input: Option<I>,
+    head: Option<(K, V)>,
+}
+
+impl<I, K, V> MergeCursor<I, K, V> {
+    fn new(inputs: impl IntoIterator<Item = I>) -> Self {
+        let ranks = inputs.into_iter().map(|i| Rank { input: Some(i), head: None });
+        MergeCursor { ranks: ranks.collect() }
+    }
+}
+
+impl<I, K, V> Iterator for MergeCursor<I, K, V>
+where
+    I: Iterator<Item = Result<(K, V)>>,
+    K: AsRef<[u8]>,
+{
+    type Item = Result<(K, V)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut failed = None;
+        for rank in self.ranks.iter_mut().filter(|r| r.head.is_none()) {
+            match rank.input.as_mut().and_then(Iterator::next) {
+                Some(Ok(entry)) => rank.head = Some(entry),
+                Some(Err(e)) => {
+                    failed = Some(e);
+                    break;
+                }
+                None => rank.input = None,
+            }
+        }
+        if let Some(e) = failed {
+            self.ranks.clear();
+            return Some(Err(e));
+        }
+        let mut best: Option<(usize, &[u8])> = None;
+        for (i, rank) in self.ranks.iter().enumerate() {
+            if let Some((key, _)) = &rank.head {
+                let key = key.as_ref();
+                if best.is_none_or(|(_, b)| compare_keys(key, b) == Ordering::Less) {
+                    best = Some((i, key));
+                }
+            }
+        }
+        let (winner, _) = best?;
+        let (key, value) = self.ranks[winner].head.take()?;
+        // Older versions of the winning key are shadowed: drop their heads.
+        for rank in &mut self.ranks {
+            let shadowed = rank
+                .head
+                .as_ref()
+                .is_some_and(|(k, _)| compare_keys(k.as_ref(), key.as_ref()) == Ordering::Equal);
+            if shadowed {
+                rank.head = None;
+            }
+        }
+        Some(Ok((key, value)))
+    }
+}
+
+/// In-progress merge: the cursor over the input components plus the output
+/// builder. Owned by a [`MergeJob`] and advanced one morsel at a time.
 pub(crate) struct MergeRun {
     /// Pre-allocated id of the output component.
     id: u64,
-    iters: Vec<std::iter::Peekable<BTreeRangeIter>>,
-    builder: Option<BTreeBuilder>,
+    cursor: MergeCursor<BTreeRangeIter, Vec<u8>, Vec<u8>>,
+    builder: BTreeBuilder,
+    /// Entries emitted into the output component so far.
     written: u64,
 }
 
-impl MergeRun {
-    /// Entries emitted into the output component so far.
-    pub(crate) fn written(&self) -> u64 {
-        self.written
+/// A version of a key as one input of a range read holds it: borrowed from
+/// the memory component, or a disk entry's stored bytes (decoded only if the
+/// version wins the merge).
+enum Version<'a> {
+    Mem(&'a Entry),
+    Disk(Vec<u8>),
+}
+
+type RangeInput<'a> = Box<dyn Iterator<Item = Result<(Cow<'a, [u8]>, Version<'a>)>> + 'a>;
+
+/// The streaming result of [`LsmTree::range`]: live `(key, value)` pairs in
+/// key order, newest version wins, tombstones dropped.
+struct LsmRange<'a> {
+    cursor: MergeCursor<RangeInput<'a>, Cow<'a, [u8]>, Version<'a>>,
+    shared: &'a LsmShared,
+    /// The component list the disk inputs read. Holding it keeps every file
+    /// readable, including ones a merge retires meanwhile, until the range
+    /// drops (declared after `cursor`, so it drops last).
+    _snapshot: Vec<Arc<DiskComponent>>,
+}
+
+impl Iterator for LsmRange<'_> {
+    type Item = Result<(Vec<u8>, Vec<u8>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let live = self.cursor.next()?.and_then(|(key, version)| {
+                let entry = match version {
+                    Version::Mem(entry) => entry.clone(),
+                    Version::Disk(raw) => self.shared.decode_stored(raw)?,
+                };
+                Ok(match entry {
+                    Entry::Put(value) => Some((key.into_owned(), value)),
+                    Entry::Tombstone => None,
+                })
+            });
+            if let Some(item) = live.transpose() {
+                return Some(item);
+            }
+        }
     }
 }
 
@@ -447,16 +566,28 @@ pub(crate) struct LsmShared {
 }
 
 impl LsmShared {
-    fn new_component(&self, id: u64, tree: DiskBTree, size_bytes: u64) -> DiskComponent {
-        DiskComponent {
+    /// Starts a disk component: allocates its id and opens the builder that
+    /// writes its file.
+    fn component_builder(&self, expected_keys: usize) -> Result<(u64, BTreeBuilder)> {
+        let id = self.next_component_id.fetch_add(1, AtomicOrdering::Relaxed); // xlint: ordering(component-id allocation; uniqueness only, publication via the disk-list lock)
+        let name = format!("{}_c{}.btree", self.config.name, id);
+        let writer = self.cache.manager().bulk_writer(&name)?;
+        Ok((id, BTreeBuilder::new(writer, if self.config.bloom { expected_keys } else { 0 })))
+    }
+
+    /// Seals a builder into a disk component (not yet published).
+    fn seal_component(&self, id: u64, builder: BTreeBuilder) -> Result<Arc<DiskComponent>> {
+        let built = builder.finish()?;
+        let size_bytes = self.cache.manager().page_count(built.file)? * crate::io::PAGE_SIZE as u64;
+        Ok(Arc::new(DiskComponent {
             id,
-            tree,
+            tree: DiskBTree::from_built(Arc::clone(&self.cache), built),
             size_bytes,
             cache: Arc::clone(&self.cache),
             retire: AtomicBool::new(false),
             retire_failures: Arc::clone(&self.stats.retire_failures),
             hub: Arc::clone(&self.hub),
-        }
+        }))
     }
 
     /// Applies the optional value compression at the disk boundary.
@@ -468,13 +599,14 @@ impl LsmShared {
         }
     }
 
-    /// Reverses [`LsmShared::encode_disk`].
-    fn decode_disk(&self, raw: &[u8]) -> Result<Vec<u8>> {
-        if self.config.compress_values {
-            crate::compress::decompress(raw).map_err(StorageError::Corrupt)
+    /// Decodes a disk entry's stored bytes (`encode_disk` of an encoded
+    /// [`Entry`]) back into the entry.
+    fn decode_stored(&self, raw: Vec<u8>) -> Result<Entry> {
+        Entry::decode(if self.config.compress_values {
+            crate::compress::decompress(&raw).map_err(StorageError::Corrupt)?
         } else {
-            Ok(raw.to_vec())
-        }
+            raw
+        })
     }
 
     /// Snapshot of the live component list (cheap `Arc` clones).
@@ -492,19 +624,11 @@ impl LsmShared {
         *mark = (total, live);
     }
 
-    /// Runs the active policy over the current list; returns the newest-run
-    /// snapshot to merge and whether it includes the oldest component.
-    fn pick_candidate(
-        &self,
-        disk: &[Arc<DiskComponent>],
-    ) -> Option<(Vec<Arc<DiskComponent>>, bool)> {
+    /// Runs the active policy over the current list: how many of the newest
+    /// components it wants merged, if any.
+    fn policy_pick(&self, disk: &[Arc<DiskComponent>]) -> Option<usize> {
         let sizes: Vec<u64> = disk.iter().map(|c| c.size_bytes).collect();
-        let n = self.policy.lock().pick_merge(&sizes)?;
-        let n = n.min(disk.len());
-        if n < 2 {
-            return None;
-        }
-        Some((disk[..n].to_vec(), n == disk.len()))
+        self.policy.lock().pick_merge(&sizes)
     }
 
     /// The autotuner: once a window of traffic accumulates, pick the policy
@@ -534,147 +658,95 @@ impl LsmShared {
         *self.policy.lock() = next; // xlint: lock(lsm_policy)
     }
 
-    /// Runs the policy and, when it fires, transitions idle → merging and
-    /// either submits the job to the installed executor or drives it inline.
-    /// Inline mode loops until the policy is satisfied (the cascade fix);
-    /// background jobs cascade by re-invoking this on completion.
+    /// Claims the compaction slot (idle → merging) for the `n` newest
+    /// components, where `pick` chooses `n` from the live list, bumps the
+    /// in-flight gauge, and builds the job. `None` when a merge is already
+    /// in flight or fewer than two components would merge.
+    fn start_merge(
+        self: &Arc<Self>,
+        pick: impl FnOnce(&[Arc<DiskComponent>]) -> Option<usize>,
+        cascade: bool,
+    ) -> Option<MergeJob> {
+        let mut st = self.state.lock(); // xlint: lock(lsm_state)
+        if !matches!(*st, CompactionState::Idle) {
+            return None; // one merge in flight per tree
+        }
+        let disk = self.disk.lock(); // xlint: lock(lsm_disk)
+        let n = pick(&disk)?.min(disk.len());
+        if n < 2 {
+            return None;
+        }
+        let comps = disk[..n].to_vec();
+        let includes_oldest = n == disk.len();
+        drop(disk);
+        let cancel = Arc::new(AtomicBool::new(false));
+        *st = CompactionState::Merging {
+            ids: comps.iter().map(|c| c.id).collect(),
+            cancel: Arc::clone(&cancel),
+        };
+        if !self.inflight.swap(true, AtomicOrdering::AcqRel) {
+            self.hub.merge_started();
+        }
+        Some(MergeJob::new(Arc::clone(self), comps, includes_oldest, cancel, cascade))
+    }
+
+    /// Runs the policy and, when it fires, starts a merge and either submits
+    /// the job to the installed executor or drives it inline. Inline mode
+    /// loops until the policy is satisfied (the cascade fix); background
+    /// jobs cascade by re-invoking this on completion.
     pub(crate) fn schedule_merge(self: &Arc<Self>) -> Result<()> {
         loop {
             self.maybe_autotune();
             let exec = self.exec.lock().clone();
-            let job = {
-                let mut st = self.state.lock(); // xlint: lock(lsm_state)
-                if !matches!(*st, CompactionState::Idle) {
-                    return Ok(()); // one merge in flight per tree
-                }
-                let disk = self.disk.lock(); // xlint: lock(lsm_disk)
-                let Some((comps, includes_oldest)) = self.pick_candidate(&disk) else {
-                    return Ok(());
-                };
-                drop(disk);
-                let cancel = Arc::new(AtomicBool::new(false));
-                *st = CompactionState::Merging {
-                    ids: comps.iter().map(|c| c.id).collect(),
-                    cancel: Arc::clone(&cancel),
-                };
-                if !self.inflight.swap(true, AtomicOrdering::AcqRel) {
-                    self.hub.merge_started();
-                }
-                Arc::new(MergeJob::new(
-                    Arc::clone(self),
-                    comps,
-                    includes_oldest,
-                    cancel,
-                    exec.is_some(),
-                ))
+            let Some(job) = self.start_merge(|disk| self.policy_pick(disk), exec.is_some()) else {
+                return Ok(());
             };
             match exec {
                 Some(e) => {
-                    e.offload(job);
+                    e.offload(Arc::new(job));
                     return Ok(());
                 }
-                None => {
-                    while job.advance()? == JobStep::Again {}
-                }
+                None => while job.advance()? == JobStep::Again {},
             }
         }
     }
 
     /// Opens a merge over `comps`: allocates the output component and the
-    /// per-input scan iterators. Pure I/O setup; holds no tree locks.
+    /// cursor over their scans. Pure I/O setup; holds no tree locks.
     pub(crate) fn merge_open(&self, comps: &[Arc<DiskComponent>]) -> Result<MergeRun> {
-        let id = self.next_component_id.fetch_add(1, AtomicOrdering::Relaxed); // xlint: ordering(component-id allocation; uniqueness only, publication via the disk-list lock)
-        let name = format!("{}_c{}.btree", self.config.name, id);
-        let writer = self.cache.manager().bulk_writer(&name)?;
         let expected: u64 = comps.iter().map(|c| c.tree.len()).sum();
-        let builder =
-            BTreeBuilder::new(writer, if self.config.bloom { expected as usize } else { 0 });
-        let mut iters = Vec::with_capacity(comps.len());
-        for comp in comps {
-            iters.push(comp.tree.scan()?.peekable());
-        }
-        Ok(MergeRun { id, iters, builder: Some(builder), written: 0 })
+        let (id, builder) = self.component_builder(expected as usize)?;
+        let scans = comps.iter().map(|c| c.tree.scan()).collect::<Result<Vec<_>>>()?;
+        Ok(MergeRun { id, cursor: MergeCursor::new(scans), builder, written: 0 })
     }
 
-    /// Advances the k-way merge by up to `budget` input keys (newest rank
-    /// wins on duplicates; dead tombstones dropped when the run includes the
-    /// oldest component). Returns `true` once every input is exhausted.
+    /// Advances the merge by up to `budget` keys (newest rank wins on
+    /// duplicates; dead tombstones dropped when the run includes the oldest
+    /// component). Returns `true` once every input is exhausted.
     pub(crate) fn merge_step(
         &self,
         run: &mut MergeRun,
         budget: usize,
         includes_oldest: bool,
     ) -> Result<bool> {
-        let MergeRun { iters, builder, written, .. } = run;
-        let builder = builder
-            .as_mut()
-            .ok_or_else(|| StorageError::Invalid("merge already finished".into()))?;
+        let MergeRun { cursor, builder, written, .. } = run;
         for _ in 0..budget.max(1) {
-            // find the smallest key among iterator heads; prefer lowest rank
-            let mut best: Option<(usize, Vec<u8>)> = None;
-            for (rank, it) in iters.iter_mut().enumerate() {
-                let head = match it.peek() {
-                    None => continue,
-                    Some(Err(_)) => {
-                        // surface the error
-                        return Err(match it.next() {
-                            Some(Err(e)) => e,
-                            _ => StorageError::Corrupt(
-                                "merge iterator lost its error head".into(),
-                            ),
-                        });
-                    }
-                    Some(Ok((k, _))) => k.clone(),
-                };
-                best = match best {
-                    None => Some((rank, head)),
-                    Some((brank, bkey)) => {
-                        if compare_keys(&head, &bkey) == Ordering::Less {
-                            Some((rank, head))
-                        } else {
-                            Some((brank, bkey))
-                        }
-                    }
-                };
-            }
-            let Some((winner_rank, winner_key)) = best else { return Ok(true) };
-            // consume the winner's entry and any duplicates in older comps
-            let Some(winner) = iters[winner_rank].next() else {
-                return Err(StorageError::Corrupt(
-                    "merge winner iterator emptied between peek and next".into(),
-                ));
-            };
-            let (_, raw) = winner?;
-            for (rank, it) in iters.iter_mut().enumerate() {
-                if rank == winner_rank {
-                    continue;
-                }
-                while matches!(it.peek(), Some(Ok((k, _))) if compare_keys(k, &winner_key) == Ordering::Equal)
-                {
-                    it.next();
-                }
-            }
-            let entry = Entry::decode(&self.decode_disk(&raw)?)?;
-            if matches!(entry, Entry::Tombstone) && includes_oldest {
+            let Some(winner) = cursor.next() else { return Ok(true) };
+            let (key, raw) = winner?;
+            if includes_oldest && self.decode_stored(raw.clone())? == Entry::Tombstone {
                 continue; // drop dead tombstones (still costs budget)
             }
             // stored bytes move as-is: merges never recompress
-            builder.add(&winner_key, &raw)?;
+            builder.add(&key, &raw)?;
             *written += 1;
         }
         Ok(false)
     }
 
-    /// Seals the merge output into a new disk component (not yet published).
-    pub(crate) fn merge_finish(&self, mut run: MergeRun) -> Result<Arc<DiskComponent>> {
-        let builder = run
-            .builder
-            .take()
-            .ok_or_else(|| StorageError::Invalid("merge already finished".into()))?;
-        let built = builder.finish()?;
-        let size_bytes = self.cache.manager().page_count(built.file)? * crate::io::PAGE_SIZE as u64;
-        let tree = DiskBTree::from_built(Arc::clone(&self.cache), built);
-        Ok(Arc::new(self.new_component(run.id, tree, size_bytes)))
+    /// Seals the merge output into a new disk component (not yet published);
+    /// also returns the number of entries it holds.
+    pub(crate) fn merge_finish(&self, run: MergeRun) -> Result<(Arc<DiskComponent>, u64)> {
+        Ok((self.seal_component(run.id, run.builder)?, run.written))
     }
 
     /// Atomically swaps the merged component in for its inputs, then retires
@@ -866,7 +938,7 @@ impl LsmTree {
             }
             {
                 let disk = self.shared.disk.lock();
-                if self.shared.pick_candidate(&disk).is_none() {
+                if self.shared.policy_pick(&disk).is_none() {
                     return true;
                 }
             }
@@ -937,15 +1009,9 @@ impl LsmTree {
             }
         }
         self.shared.hub.count_read(probes);
-        match found {
-            None => Ok(None),
-            Some(raw) => {
-                let raw = self.shared.decode_disk(&raw)?;
-                match Entry::decode(&raw)? {
-                    Entry::Put(v) => Ok(Some(v)),
-                    Entry::Tombstone => Ok(None),
-                }
-            }
+        match found.map(|raw| self.shared.decode_stored(raw)).transpose()? {
+            Some(Entry::Put(v)) => Ok(Some(v)),
+            Some(Entry::Tombstone) | None => Ok(None),
         }
     }
 
@@ -958,21 +1024,12 @@ impl LsmTree {
             return Ok(());
         }
         let shared = &self.shared;
-        let id = shared.next_component_id.fetch_add(1, AtomicOrdering::Relaxed); // xlint: ordering(component-id allocation; uniqueness only, publication via the disk-list lock)
-        let name = format!("{}_c{}.btree", shared.config.name, id);
-        let writer = shared.cache.manager().bulk_writer(&name)?;
-        let expected = if shared.config.bloom { self.mem.len() } else { 0 };
-        let mut builder = BTreeBuilder::new(writer, expected);
-        let mut written = 0u64;
+        let (id, mut builder) = shared.component_builder(self.mem.len())?;
         for (k, e) in self.mem.iter() {
-            let raw = shared.encode_disk(&e.encode());
-            builder.add(&k.0, &raw)?;
-            written += 1;
+            builder.add(&k.0, &shared.encode_disk(&e.encode()))?;
         }
-        let built = builder.finish()?;
-        let size_bytes = shared.cache.manager().page_count(built.file)? * crate::io::PAGE_SIZE as u64;
-        let tree = DiskBTree::from_built(Arc::clone(&shared.cache), built);
-        let comp = Arc::new(shared.new_component(id, tree, size_bytes));
+        let written = self.mem.len() as u64;
+        let comp = shared.seal_component(id, builder)?;
         {
             let mut disk = shared.disk.lock();
             disk.insert(0, comp);
@@ -993,35 +1050,13 @@ impl LsmTree {
     /// Merges the `n` newest disk components into one, inline on this
     /// thread (waits for any background merge to drain first).
     pub fn merge_newest(&mut self, n: usize) -> Result<()> {
-        let shared = Arc::clone(&self.shared);
+        let shared = &self.shared;
         if !shared.wait_idle_until(Instant::now() + Duration::from_secs(60)) {
             return Err(StorageError::Invalid(
                 "merge_newest timed out waiting for the in-flight merge".into(),
             ));
         }
-        let job = {
-            let mut st = shared.state.lock(); // xlint: lock(lsm_state)
-            if !matches!(*st, CompactionState::Idle) {
-                return Ok(());
-            }
-            let disk = shared.disk.lock(); // xlint: lock(lsm_disk)
-            let n = n.min(disk.len());
-            if n < 2 {
-                return Ok(());
-            }
-            let comps: Vec<Arc<DiskComponent>> = disk[..n].to_vec();
-            let includes_oldest = n == disk.len();
-            drop(disk);
-            let cancel = Arc::new(AtomicBool::new(false));
-            *st = CompactionState::Merging {
-                ids: comps.iter().map(|c| c.id).collect(),
-                cancel: Arc::clone(&cancel),
-            };
-            if !shared.inflight.swap(true, AtomicOrdering::AcqRel) {
-                shared.hub.merge_started();
-            }
-            MergeJob::new(shared.clone(), comps, includes_oldest, cancel, false)
-        };
+        let Some(job) = shared.start_merge(|_| Some(n), false) else { return Ok(()) };
         let start = Instant::now();
         let result = (|| {
             while job.advance()? == JobStep::Again {}
@@ -1034,112 +1069,36 @@ impl LsmTree {
     }
 
     /// Ordered scan over `[lo, hi]`, resolving versions (newest wins) and
-    /// dropping tombstones. Returns materialized pairs.
+    /// dropping tombstones. Streams: entries are read as the iterator is
+    /// pulled, so dropping it early stops the reads. The iterator holds a
+    /// snapshot of the component list, so it sees the pre- or post-merge
+    /// view current at the call, and the files of components a merge
+    /// retires meanwhile stay readable until it drops.
     pub fn range(
         &self,
         lo: Bound<&[u8]>,
         hi: Bound<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        // Snapshot the component list: the scan sees a consistent pre- or
-        // post-merge view, and snapshot refs keep retired files alive.
-        let disk = self.shared.snapshot();
-        // Collect per-source ordered streams: rank 0 = memory (newest).
-        type EntryStream<'a> = Box<dyn Iterator<Item = Result<(Vec<u8>, Entry)>> + 'a>;
-        let mut streams: Vec<EntryStream<'_>> = Vec::new();
-        let mem_lo = match lo {
-            Bound::Included(k) => Bound::Included(k.to_vec()),
-            Bound::Excluded(k) => Bound::Excluded(k.to_vec()),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let mem_hi = match hi {
-            Bound::Included(k) => Bound::Included(k.to_vec()),
-            Bound::Excluded(k) => Bound::Excluded(k.to_vec()),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        streams.push(Box::new(
-            self.mem
-                .range(mem_lo, mem_hi)
-                .map(|(k, e)| Ok((k.0.clone(), e.clone()))),
-        ));
-        for comp in &disk {
-            let hi_owned = match hi {
-                Bound::Included(k) => Bound::Included(k.to_vec()),
-                Bound::Excluded(k) => Bound::Excluded(k.to_vec()),
-                Bound::Unbounded => Bound::Unbounded,
-            };
-            let it = comp.tree.range(lo, hi_owned)?;
-            let compressed = self.shared.config.compress_values;
-            streams.push(Box::new(it.map(move |r| {
-                r.and_then(|(k, raw)| {
-                    let raw = if compressed {
-                        crate::compress::decompress(&raw).map_err(StorageError::Corrupt)?
-                    } else {
-                        raw
-                    };
-                    Ok((k, Entry::decode(&raw)?))
-                })
-            })));
+    ) -> Result<impl Iterator<Item = Result<(Vec<u8>, Vec<u8>)>> + '_> {
+        let snapshot = self.shared.snapshot();
+        // Rank 0 is the memory component, then disk components newest-first.
+        let mem = self.mem.range(lo.map(<[u8]>::to_vec), hi.map(<[u8]>::to_vec));
+        let mut inputs: Vec<RangeInput<'_>> = Vec::with_capacity(snapshot.len() + 1);
+        inputs.push(Box::new(mem.map(|(k, e)| Ok((Cow::Borrowed(&k.0[..]), Version::Mem(e))))));
+        for comp in &snapshot {
+            let disk = comp.tree.range(lo, hi.map(<[u8]>::to_vec))?;
+            inputs.push(Box::new(disk.map(|r| r.map(|(k, v)| (Cow::Owned(k), Version::Disk(v))))));
         }
-        // K-way merge with rank preference.
-        let mut iters: Vec<_> = streams.into_iter().map(|s| s.peekable()).collect();
-        let mut out = Vec::new();
-        loop {
-            let mut best: Option<(usize, Vec<u8>)> = None;
-            for (rank, it) in iters.iter_mut().enumerate() {
-                let head = match it.peek() {
-                    None => continue,
-                    Some(Err(_)) => {
-                        return Err(match it.next() {
-                            Some(Err(e)) => e,
-                            _ => StorageError::Corrupt(
-                                "range iterator lost its error head".into(),
-                            ),
-                        })
-                    }
-                    Some(Ok((k, _))) => k.clone(),
-                };
-                best = match best.take() {
-                    None => Some((rank, head)),
-                    Some((brank, bkey)) => {
-                        if compare_keys(&head, &bkey) == Ordering::Less {
-                            Some((rank, head))
-                        } else {
-                            Some((brank, bkey))
-                        }
-                    }
-                };
-            }
-            let Some((winner_rank, winner_key)) = best else { break };
-            let Some(winner) = iters[winner_rank].next() else {
-                return Err(StorageError::Corrupt(
-                    "range winner iterator emptied between peek and next".into(),
-                ));
-            };
-            let (_, entry) = winner?;
-            for (rank, it) in iters.iter_mut().enumerate() {
-                if rank == winner_rank {
-                    continue;
-                }
-                while matches!(it.peek(), Some(Ok((k, _))) if compare_keys(k, &winner_key) == Ordering::Equal)
-                {
-                    it.next();
-                }
-            }
-            if let Entry::Put(v) = entry {
-                out.push((winner_key, v));
-            }
-        }
-        Ok(out)
+        Ok(LsmRange { cursor: MergeCursor::new(inputs), shared: &self.shared, _snapshot: snapshot })
     }
 
-    /// Full ordered scan (tombstones resolved).
-    pub fn scan(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    /// Full ordered scan (tombstones resolved); streams like [`LsmTree::range`].
+    pub fn scan(&self) -> Result<impl Iterator<Item = Result<(Vec<u8>, Vec<u8>)>> + '_> {
         self.range(Bound::Unbounded, Bound::Unbounded)
     }
 
     /// Live entry count (scans; intended for tests and small datasets).
     pub fn count(&self) -> Result<usize> {
-        Ok(self.scan()?.len())
+        self.scan()?.try_fold(0, |n, item| item.map(|_| n + 1))
     }
 }
 
@@ -1221,7 +1180,7 @@ mod tests {
         assert_eq!(t.get(&k(1)).unwrap().unwrap(), b"new");
         t.flush().unwrap();
         assert_eq!(t.get(&k(1)).unwrap().unwrap(), b"new");
-        assert_eq!(t.scan().unwrap().len(), 1);
+        assert_eq!(t.count().unwrap(), 1);
     }
 
     #[test]
@@ -1258,7 +1217,11 @@ mod tests {
         }
         let lo = k(0);
         let hi = k(20);
-        let items = t.range(Bound::Included(&lo), Bound::Included(&hi)).unwrap();
+        let items: Vec<_> = t
+            .range(Bound::Included(&lo), Bound::Included(&hi))
+            .unwrap()
+            .collect::<Result<_>>()
+            .unwrap();
         // keys 0..=20, minus deleted 1 and 11
         assert_eq!(items.len(), 19);
         assert_eq!(items[0], (k(0), b"v2".to_vec()));
@@ -1337,7 +1300,7 @@ mod tests {
         assert_eq!(t.component_count(), 1);
         assert_eq!(t.count().unwrap(), 0);
         // everything annihilated: component holds zero live entries
-        assert_eq!(t.scan().unwrap().len(), 0);
+        assert_eq!(t.scan().unwrap().count(), 0);
     }
 
     #[test]
@@ -1369,7 +1332,7 @@ mod tests {
             t.get(&encode_key(&[Value::Double(2.0)])).unwrap().unwrap(),
             b"int2"
         );
-        let all = t.scan().unwrap();
+        let all: Vec<_> = t.scan().unwrap().collect::<Result<_>>().unwrap();
         assert_eq!(all.len(), 3);
         // numbers before strings
         assert_eq!(all[0].1, b"int2");
@@ -1534,6 +1497,86 @@ mod tests {
         assert_eq!(t.stats().merges_aborted, 1);
         assert_eq!(t.component_count(), before + 1, "list untouched by abort");
         assert_eq!(t.count().unwrap(), 1_202);
+    }
+
+    fn component_files(dir: &TempDir) -> usize {
+        std::fs::read_dir(dir.path())
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "btree"))
+            .count()
+    }
+
+    #[test]
+    fn range_snapshot_outlives_a_merge_of_its_components() {
+        // An open range reads the component list it started with: a merge
+        // that completes meanwhile changes nothing it yields, and the
+        // merge's input files unlink only once the range drops.
+        let (cache, dir) = setup();
+        let mut t = LsmTree::new(cache, manual_config("t", MergePolicy::NoMerge));
+        for i in 0..600 {
+            t.upsert(k(i), format!("a{i}").into_bytes()).unwrap();
+        }
+        t.flush().unwrap();
+        for i in 300..900 {
+            t.upsert(k(i), format!("b{i}").into_bytes()).unwrap();
+        }
+        t.flush().unwrap();
+        // The range borrows the tree, so `merge_newest` cannot run while it
+        // is open; park the merge this flush schedules and drive it by hand.
+        let parked = Arc::new(ParkedExecutor::default());
+        t.set_executor(CompactionExec::new(parked.clone()));
+        t.set_merge_policy(MergePolicy::Constant { max_components: 1 });
+        for i in (0..900).step_by(7) {
+            t.delete(k(i)).unwrap();
+        }
+        t.flush().unwrap();
+        let job = parked.0.lock().pop().expect("merge scheduled");
+        let expected: Vec<_> = t.scan().unwrap().collect::<Result<_>>().unwrap();
+        assert_eq!(expected.len(), 900 - 900 / 7 - 1);
+        assert_eq!(component_files(&dir), 3);
+
+        let mut range = t.scan().unwrap();
+        let mut got: Vec<_> = range.by_ref().take(5).collect::<Result<_>>().unwrap();
+        while job.step() == JobStep::Again {}
+        assert_eq!(t.stats().merges, 1);
+        assert_eq!(t.component_count(), 1, "merged component is live");
+        assert_eq!(component_files(&dir), 4, "retired inputs pinned by the open range");
+        got.extend(range.by_ref().map(Result::unwrap));
+        assert_eq!(got, expected, "the range yields exactly the pre-merge contents");
+        assert_eq!(component_files(&dir), 4, "an exhausted range still pins its snapshot");
+        drop(range);
+        assert_eq!(component_files(&dir), 1, "inputs unlink once the range drops");
+        assert_eq!(t.scan().unwrap().collect::<Result<Vec<_>>>().unwrap(), expected);
+    }
+
+    #[test]
+    fn dropped_range_reads_a_bounded_number_of_pages() {
+        // `btree_index_pks` and `search_token` stop reading at the end of
+        // their key prefix; that is only cheap because ranges stream. The
+        // pages a one-item read touches must not grow with the component.
+        let pages_touched = |n: i64| {
+            let (cache, _d) = setup();
+            let mut t = LsmTree::new(cache.clone(), manual_config("t", MergePolicy::NoMerge));
+            for i in 0..n {
+                t.upsert(k(i), vec![b'x'; 64]).unwrap();
+            }
+            t.flush().unwrap();
+            let touched = || cache.stats().cache_hits() + cache.stats().cache_misses();
+            let before = touched();
+            let lo = k(n / 4);
+            let first = t.range(Bound::Included(&lo), Bound::Unbounded).unwrap().next();
+            assert_eq!(first.unwrap().unwrap().0, lo);
+            let one_item = touched() - before;
+            let before = touched();
+            let rest = t.range(Bound::Included(&lo), Bound::Unbounded).unwrap().count();
+            assert_eq!(rest as i64, n - n / 4);
+            (one_item, touched() - before)
+        };
+        let (small, small_full) = pages_touched(2_000);
+        let (large, large_full) = pages_touched(20_000);
+        assert!(large_full > 10 * small, "the large component spans many pages: {large_full}");
+        assert!(large_full > small_full);
+        assert!(small <= 4 && large <= small + 1, "one-item reads: {small} and {large} pages");
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! entries in the R-tree itself: a candidate from an older component is
 //! filtered out when any newer component's deleted-key tree contains its key.
 //!
+//! Merges publish the merged component before deleting their inputs' files,
+//! so a failed delete is counted cleanup (restart recovery sweeps the
+//! orphaned file), never lost entries.
+//!
 //! The `point_optimize` flag applies the §V-B leaf-storage optimization
 //! (points stored without duplicated MBR corners; experiment E11).
 
@@ -213,16 +217,20 @@ impl LsmRTree {
             }
             Some(DiskBTree::from_built(Arc::clone(&self.cache), b.finish()?))
         };
-        let removed: Vec<RTreeComponent> = self.disk.drain(..n).collect();
-        for comp in removed {
-            self.cache.close_file(comp.rtree.file());
-            self.cache.manager().delete(comp.rtree.file())?;
-            if let Some(t) = comp.tombstones {
-                self.cache.close_file(t.file());
-                self.cache.manager().delete(t.file())?;
+        // Publish first: the merged component replaces its inputs before any
+        // input file is deleted, so a failed delete cannot lose entries.
+        let merged = RTreeComponent { rtree, tombstones, size_bytes };
+        let removed: Vec<RTreeComponent> = self.disk.splice(..n, [merged]).collect();
+        for comp in &removed {
+            let deleted_keys = comp.tombstones.as_ref().map(DiskBTree::file);
+            for file in std::iter::once(comp.rtree.file()).chain(deleted_keys) {
+                self.cache.close_file(file);
+                if self.cache.manager().delete(file).is_err() {
+                    // Counted cleanup: restart recovery sweeps the orphan.
+                    self.cache.stats().lsm().count_retire_failure();
+                }
             }
         }
-        self.disk.insert(0, RTreeComponent { rtree, tombstones, size_bytes });
         Ok(())
     }
 
@@ -268,6 +276,7 @@ impl LsmRTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultConfig, FaultInjector};
     use crate::io::FileManager;
     use crate::stats::IoStats;
     use crate::testutil::TempDir;
@@ -276,6 +285,14 @@ mod tests {
     fn setup() -> (Arc<BufferCache>, TempDir) {
         let dir = TempDir::new();
         let fm = FileManager::new(dir.path(), IoStats::new()).unwrap();
+        (BufferCache::new(fm, 256), dir)
+    }
+
+    fn setup_faulty(config: FaultConfig) -> (Arc<BufferCache>, TempDir) {
+        let dir = TempDir::new();
+        let fm =
+            FileManager::with_faults(dir.path(), IoStats::new(), Some(FaultInjector::new(config)))
+                .unwrap();
         (BufferCache::new(fm, 256), dir)
     }
 
@@ -392,5 +409,35 @@ mod tests {
         t.flush().unwrap();
         assert!(t.component_count() <= 3);
         assert_eq!(t.count().unwrap(), 3_000);
+    }
+
+    #[test]
+    fn retirement_delete_failure_never_loses_merged_data() {
+        // Regression for the retirement-ordering data loss: input files were
+        // deleted *before* the merged component was inserted, so one failed
+        // delete returned an error with the merged entries missing from the
+        // tree. Now the merged component publishes first and failed deletes
+        // are counted cleanup.
+        let (cache, _d) =
+            setup_faulty(FaultConfig { seed: 9, delete_fail_prob: 1.0, ..FaultConfig::default() });
+        let mut t = LsmRTree::new(cache.clone(), config("s"));
+        for i in 0..100 {
+            t.insert(pt(i as f64, 0.0), format!("k{i}").into_bytes()).unwrap();
+        }
+        t.flush().unwrap();
+        for i in 0..10 {
+            t.delete(&pt(i as f64, 0.0), format!("k{i}").as_bytes()).unwrap();
+        }
+        for i in 100..200 {
+            t.insert(pt(i as f64, 0.0), format!("k{i}").into_bytes()).unwrap();
+        }
+        t.flush().unwrap();
+        assert_eq!(t.component_count(), 2);
+        t.merge_newest(2).expect("retirement failures are non-fatal");
+        assert_eq!(t.component_count(), 1, "merged component is live");
+        assert_eq!(t.count().unwrap(), 190, "no entry lost");
+        assert_eq!(t.search(&rect(150.0, 0.0, 150.0, 0.0)).unwrap().len(), 1);
+        // two R-tree files plus the newer component's deleted-key tree
+        assert_eq!(cache.stats().lsm().retire_failures(), 3, "every input delete failed");
     }
 }

@@ -12,7 +12,7 @@ use asterix_storage::rtree::{DiskRTree, MemRTree, RTreeBuilder, SpatialEntry};
 use asterix_storage::stats::IoStats;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -110,10 +110,14 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// An LSM tree under random upserts/deletes/flushes answers point gets
-    /// and full scans identically to a map model.
+    /// An LSM tree under random upserts/deletes/flushes/merges answers
+    /// point gets, full scans and bounded range reads identically to a map
+    /// model.
     #[test]
-    fn lsm_matches_model(ops in prop::collection::vec((0u8..10, -100i64..100), 1..400)) {
+    fn lsm_matches_model(
+        ops in prop::collection::vec((0u8..11, -100i64..100), 1..400),
+        probes in prop::collection::vec((0u8..3, -110i64..110, 0u8..3, -110i64..110), 12),
+    ) {
         let (cache, _d) = setup(128);
         let mut t = LsmTree::new(
             cache,
@@ -137,14 +141,37 @@ proptest! {
                     t.delete(k(key)).unwrap();
                     model.remove(&key);
                 }
-                _ => t.flush().unwrap(),
+                9 => t.flush().unwrap(),
+                _ => t.merge_newest(key.rem_euclid(5) as usize).unwrap(),
             }
         }
         for probe in -100i64..100 {
             prop_assert_eq!(t.get(&k(probe)).unwrap(), model.get(&probe).cloned());
         }
-        let scan = t.scan().unwrap();
-        prop_assert_eq!(scan.len(), model.len());
+        let scan: Vec<(Vec<u8>, Vec<u8>)> = t.scan().unwrap().map(Result::unwrap).collect();
+        let want: Vec<(Vec<u8>, Vec<u8>)> = model.iter().map(|(i, v)| (k(*i), v.clone())).collect();
+        prop_assert_eq!(scan, want);
+        // 0 = Included, 1 = Excluded, 2 = Unbounded; crossed bounds read nothing
+        let bound = |kind: u8, key: i64| match kind {
+            0 => Bound::Included(key),
+            1 => Bound::Excluded(key),
+            _ => Bound::Unbounded,
+        };
+        for (lo_kind, lo, hi_kind, hi) in probes {
+            let (lo, hi) = (bound(lo_kind, lo), bound(hi_kind, hi));
+            let (lo_key, hi_key) = (lo.map(k), hi.map(k));
+            let got: Vec<(Vec<u8>, Vec<u8>)> = t
+                .range(lo_key.as_ref().map(Vec::as_slice), hi_key.as_ref().map(Vec::as_slice))
+                .unwrap()
+                .map(Result::unwrap)
+                .collect();
+            let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                .iter()
+                .filter(|(i, _)| (lo, hi).contains(*i))
+                .map(|(i, v)| (k(*i), v.clone()))
+                .collect();
+            prop_assert_eq!(got, want, "range {:?}..{:?}", lo, hi);
+        }
     }
 
     /// Disk R-tree search equals brute-force filtering.

@@ -93,6 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             for (k, v) in tree
                 .range(Bound::Included(lo_k.as_slice()), Bound::Excluded(hi_k.as_slice()))
                 .unwrap()
+                .map(Result::unwrap)
             {
                 candidates += 1;
                 if let Ok(Value::Point(p)) = decode(&v) {
@@ -114,6 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             for (k, v) in grid
                 .range(Bound::Included(lo.as_slice()), Bound::Excluded(hi.as_slice()))
                 .unwrap()
+                .map(Result::unwrap)
             {
                 candidates += 1;
                 if let Ok(Value::Point(p)) = decode(&v) {
