@@ -291,148 +291,6 @@ struct ExchangeSection {
     speedup: f64,
 }
 
-struct RefillSection {
-    senders: usize,
-    frames_per_sender: usize,
-    tuples_per_frame: usize,
-    rebuild_path_tps: f64,
-    sweep_path_tps: f64,
-    speedup: f64,
-}
-
-/// Preloads `senders` closed channels with small frames, so a drain
-/// exercises only the receive path.
-fn preload_channels(
-    senders: usize,
-    frames_per_sender: usize,
-    tuples_per_frame: usize,
-) -> Vec<crossbeam::channel::Receiver<Frame>> {
-    (0..senders)
-        .map(|s| {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            for fi in 0..frames_per_sender {
-                let mut f = Frame::new();
-                for ti in 0..tuples_per_frame {
-                    let _ = f.push(vec![Value::Int((s * frames_per_sender + fi + ti) as i64)]);
-                }
-                tx.send(f).unwrap();
-            }
-            rx
-        })
-        .collect()
-}
-
-/// The pre-overhaul `TupleStream::refill`: a fresh live-receiver `Vec` and
-/// `Select` built for every frame received.
-fn drain_rebuild(receivers: &[crossbeam::channel::Receiver<Frame>]) -> usize {
-    use crossbeam::channel::Select;
-    let mut open = vec![true; receivers.len()];
-    let mut n = 0usize;
-    loop {
-        let live: Vec<usize> = (0..receivers.len()).filter(|i| open[*i]).collect();
-        if live.is_empty() {
-            return n;
-        }
-        let mut sel = Select::new();
-        for &i in &live {
-            sel.recv(&receivers[i]);
-        }
-        let op = sel.select();
-        let idx = live[op.index()];
-        match op.recv(&receivers[idx]) {
-            Ok(frame) => n += frame.len(),
-            Err(_) => open[idx] = false,
-        }
-    }
-}
-
-/// The overhauled refill: persistent live set, rotating cursor, non-blocking
-/// sweep; `Select` only when every open channel is empty (never here — the
-/// channels are preloaded and closed).
-fn drain_sweep(receivers: &[crossbeam::channel::Receiver<Frame>]) -> usize {
-    use crossbeam::channel::{Select, TryRecvError};
-    let mut live: Vec<usize> = (0..receivers.len()).collect();
-    let mut cursor = 0usize;
-    let mut n = 0usize;
-    loop {
-        if live.is_empty() {
-            return n;
-        }
-        let len = live.len();
-        let mut any_closed = false;
-        let mut got = false;
-        for k in 0..len {
-            let slot = (cursor + k) % len;
-            if live[slot] == usize::MAX {
-                continue;
-            }
-            match receivers[live[slot]].try_recv() {
-                Ok(frame) => {
-                    n += frame.len();
-                    cursor = (slot + 1) % len;
-                    got = true;
-                    break;
-                }
-                Err(TryRecvError::Disconnected) => {
-                    live[slot] = usize::MAX;
-                    any_closed = true;
-                }
-                Err(TryRecvError::Empty) => {}
-            }
-        }
-        if any_closed {
-            live.retain(|&i| i != usize::MAX);
-            cursor = 0;
-        }
-        if !got && !any_closed && !live.is_empty() {
-            let mut sel = Select::new();
-            for &i in &live {
-                sel.recv(&receivers[i]);
-            }
-            let op = sel.select();
-            let slot = op.index();
-            match op.recv(&receivers[live[slot]]) {
-                Ok(frame) => n += frame.len(),
-                Err(_) => {
-                    live.remove(slot);
-                    cursor = 0;
-                }
-            }
-        }
-    }
-}
-
-fn refill_microbench(quick: bool) -> RefillSection {
-    let senders = 8usize;
-    let frames_per_sender = if quick { 4_000 } else { 40_000 };
-    // Deliberately small frames: refill cost is per frame, so small frames
-    // expose it (full 64 KiB frames amortize it away).
-    let tuples_per_frame = 4usize;
-    let total = senders * frames_per_sender * tuples_per_frame;
-    let best = |drain: &dyn Fn(&[crossbeam::channel::Receiver<Frame>]) -> usize| -> f64 {
-        (0..3)
-            .map(|_| {
-                let rx = preload_channels(senders, frames_per_sender, tuples_per_frame);
-                let (got, t) = time_it(|| drain(&rx));
-                assert_eq!(got, total);
-                t
-            })
-            .min()
-            .map(|d| total as f64 / d.as_secs_f64())
-            .unwrap()
-    };
-    let rebuild_path_tps = best(&drain_rebuild);
-    let sweep_path_tps = best(&drain_sweep);
-    RefillSection {
-        senders,
-        frames_per_sender,
-        tuples_per_frame,
-        rebuild_path_tps,
-        sweep_path_tps,
-        speedup: sweep_path_tps / rebuild_path_tps,
-    }
-}
-
 fn exchange_tuples(n: usize) -> Vec<Frame> {
     let mut frames = Vec::new();
     let mut f = Frame::new();
@@ -867,8 +725,6 @@ fn compaction_microbench(quick: bool) -> CompactionSection {
 pub fn run(quick: bool) -> String {
     eprintln!("hotpath: cache-hit microbench...");
     let cache = cache_microbench(quick);
-    eprintln!("hotpath: exchange refill microbench...");
-    let refill = refill_microbench(quick);
     eprintln!("hotpath: exchange repartition microbench...");
     let exchange = exchange_microbench(quick);
     eprintln!("hotpath: join microbench...");
@@ -926,17 +782,6 @@ pub fn run(quick: bool) -> String {
     s.push_str("    ]\n  },\n");
 
     s.push_str("  \"exchange_microbench\": {\n");
-    s.push_str(&format!(
-        "    \"refill\": {{ \"senders\": {}, \"frames_per_sender\": {}, \
-         \"tuples_per_frame\": {}, \"rebuild_path_tuples_per_sec\": {}, \
-         \"sweep_path_tuples_per_sec\": {}, \"speedup\": {} }},\n",
-        refill.senders,
-        refill.frames_per_sender,
-        refill.tuples_per_frame,
-        fnum(refill.rebuild_path_tps),
-        fnum(refill.sweep_path_tps),
-        fnum(refill.speedup),
-    ));
     s.push_str(&format!(
         "    \"repartition\": {{ \"tuples\": {}, \"destinations\": {}, \
          \"resize_path_tuples_per_sec\": {}, \"sized_path_tuples_per_sec\": {}, \

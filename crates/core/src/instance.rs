@@ -16,7 +16,9 @@ use crate::catalog::{Catalog, DatasetKind};
 use crate::dataset::{extract_pk, partition_of, DatasetPartition, StorageConfig};
 use crate::error::{CoreError, Result};
 use crate::node::Cluster;
-use crate::scheduler::{QueryControl, QueryScheduler, SchedulerConfig, Session};
+use crate::scheduler::{
+    QueryControl, QueryHandle, QueryOptions, QueryScheduler, SchedulerConfig, Session,
+};
 use crate::sources::{DatasetRuntime, DatasetSource, ExternalSource};
 use crate::txn::{TxnManager, UndoEntry};
 use asterix_adm::binary::{decode, encode};
@@ -98,7 +100,7 @@ pub struct InstanceConfig {
     /// Retry policy for transiently failing queries.
     pub retry: RetryPolicy,
     /// Default wall-clock deadline applied to every query job (`None` =
-    /// unbounded; [`Instance::query_with_deadline`] overrides per query).
+    /// unbounded; [`QueryOptions::deadline`] overrides per query).
     pub query_deadline: Option<Duration>,
     /// Deterministic dataflow chaos injector: every query job on this
     /// instance runs under its seeded fault schedules (`None` in
@@ -183,10 +185,6 @@ struct Inner {
     ctx: Arc<RuntimeCtx>,
     vargen: Mutex<VarGen>,
     ddl_log: Mutex<Vec<String>>,
-    /// Profile tree of the most recently completed query job. Deprecated
-    /// facade kept for single-client callers; concurrent clients read
-    /// per-query profiles from their [`crate::scheduler::QueryHandle`]s.
-    last_profile: Mutex<Option<asterix_obs::JobProfile>>,
     /// Admission controller for the concurrent serving path.
     sched: Arc<QueryScheduler>,
     /// Session-id allocator for [`Instance::session`].
@@ -270,7 +268,6 @@ impl Instance {
             ctx,
             vargen: Mutex::new(VarGen::new()),
             ddl_log: Mutex::new(Vec::new()),
-            last_profile: Mutex::new(None),
             sched,
             next_session: AtomicU64::new(1),
             compaction_token,
@@ -392,21 +389,25 @@ impl Instance {
     // statement execution
     // -----------------------------------------------------------------
 
-    /// Executes a sequence of statements in the given language.
+    /// Executes a sequence of statements in the given language. Each query
+    /// statement runs through admission with default [`QueryOptions`] and
+    /// executes on the calling thread, exactly as a [`Session::submit`]
+    /// followed by its `wait`; a budget larger than the pool or a full
+    /// queue fails with [`CoreError::Saturated`].
     pub fn execute(&self, text: &str, language: Language) -> Result<Vec<ExecResult>> {
         let stmts = match language {
             Language::Sqlpp => asterix_sqlpp::parse_sqlpp(text).map_err(CoreError::Sqlpp)?,
             Language::Aql => vec![asterix_sqlpp::parse_aql(text).map_err(CoreError::Sqlpp)?],
         };
         let mut out = Vec::with_capacity(stmts.len());
-        for stmt in &stmts {
+        for stmt in stmts {
             out.push(match stmt {
                 Stmt::Ddl(ddl) => {
-                    let msg = self.apply_ddl(ddl, true)?;
+                    let msg = self.apply_ddl(&ddl, true)?;
                     ExecResult::Message(msg)
                 }
-                Stmt::Dml(dml) => ExecResult::Message(self.apply_dml(dml)?),
-                Stmt::Query(q) => ExecResult::Rows(self.run_query(q)?),
+                Stmt::Dml(dml) => ExecResult::Message(self.apply_dml(&dml)?),
+                Stmt::Query(q) => ExecResult::Rows(self.run_admitted(q)?),
             });
         }
         Ok(out)
@@ -424,15 +425,6 @@ impl Instance {
             Some(ExecResult::Rows(rows)) => Ok(rows),
             _ => Err(CoreError::Unsupported("statement was not a query".into())),
         }
-    }
-
-    /// Runs one SQL++ query under an explicit wall-clock deadline
-    /// (overriding the instance default). An expired deadline surfaces as
-    /// the typed, non-retried
-    /// [`HyracksError::DeadlineExceeded`](asterix_hyracks::HyracksError).
-    pub fn query_with_deadline(&self, text: &str, deadline: Duration) -> Result<Vec<Value>> {
-        let q = self.parse_single_query(text)?;
-        self.run_query_deadline(&q, Some(deadline))
     }
 
     /// Parses `text` as SQL++ and returns its trailing query statement.
@@ -460,23 +452,6 @@ impl Instance {
     /// The instance-wide default query deadline.
     pub(crate) fn default_deadline(&self) -> Option<Duration> {
         self.inner.config.query_deadline
-    }
-
-    /// Updates the deprecated instance-wide last-profile facade.
-    pub(crate) fn store_last_profile(&self, profile: asterix_obs::JobProfile) {
-        *self.inner.last_profile.lock() = Some(profile);
-    }
-
-    /// Cancels **every** query job currently executing on this instance —
-    /// the broad hammer, kept as a facade for single-client callers and
-    /// emergency shedding. Every worker of every live job observes its
-    /// token and unwinds; each affected query returns the typed
-    /// [`HyracksError::Cancelled`](asterix_hyracks::HyracksError) carrying
-    /// `reason`. Prefer [`crate::scheduler::QueryHandle::cancel`], which
-    /// cancels exactly one query. Returns true when at least one live job
-    /// was tripped.
-    pub fn cancel_job(&self, reason: &str) -> bool {
-        self.inner.ctx.cancel_all_jobs(reason)
     }
 
     /// Kills cluster node `id` (simulated machine failure — durable state
@@ -624,7 +599,7 @@ impl Instance {
                         q
                     }
                 };
-                let victims = self.run_query(&q)?;
+                let victims = self.run_admitted(q)?;
                 let def = self
                     .inner
                     .catalog
@@ -670,39 +645,33 @@ impl Instance {
     /// an INSERT.
     fn eval_standalone(&self, e: &asterix_sqlpp::ast::Expr) -> Result<Value> {
         let q = Query::of_expr(e.clone());
-        let mut rows = self.run_query(&q)?;
+        let mut rows = self.run_admitted(q)?;
         rows.pop()
             .ok_or_else(|| CoreError::Constraint("expression produced no value".into()))
     }
 
-    /// Runs one translated query under the instance's default deadline.
-    fn run_query(&self, q: &Query) -> Result<Vec<Value>> {
-        self.run_query_deadline(q, self.inner.config.query_deadline)
+    /// Runs one parsed query as the instance's implicit session (id 0):
+    /// reserve admission with default [`QueryOptions`], then wait on the
+    /// calling thread.
+    fn run_admitted(&self, q: Query) -> Result<Vec<Value>> {
+        QueryHandle::reserve(self, 0, q, QueryOptions::default())?.wait()
     }
 
-    /// Runs one translated query under the default deadline, feeding the
-    /// deprecated instance-wide [`Instance::last_profile`] facade.
-    fn run_query_deadline(&self, q: &Query, deadline: Option<Duration>) -> Result<Vec<Value>> {
-        let (rows, profile) = self.run_query_profiled(q, deadline, None, None)?;
-        self.store_last_profile(profile);
-        Ok(rows)
-    }
-
-    /// Runs one translated query: translate/optimize once, then execute with
+    /// Runs one admitted query: translate/optimize once, then execute with
     /// the configured [`RetryPolicy`] — transient failures (node down,
     /// injected faults, partitions dying mid-stream) re-run the job with
     /// exponential backoff; deterministic failures surface immediately.
     ///
-    /// The concurrent serving path supplies `control` (per-query
-    /// cancellation shared with a [`crate::scheduler::QueryHandle`]) and
-    /// `memory_budget` (the admission reservation, which caps each
-    /// operator's working memory below the instance-wide `op_memory`).
+    /// `control` is the per-query cancellation of the
+    /// [`crate::scheduler::QueryHandle`] being waited on, and
+    /// `memory_budget` its admission reservation, which caps each
+    /// operator's working memory below the instance-wide `op_memory`.
     pub(crate) fn run_query_profiled(
         &self,
         q: &Query,
         deadline: Option<Duration>,
-        control: Option<&QueryControl>,
-        memory_budget: Option<usize>,
+        control: &QueryControl,
+        memory_budget: usize,
     ) -> Result<(Vec<Value>, asterix_obs::JobProfile)> {
         let view = self.catalog_view();
         let mut plan = {
@@ -710,8 +679,7 @@ impl Instance {
             translate_query(q, &view, &mut vg).map_err(CoreError::Sqlpp)?
         };
         optimize(&mut plan);
-        let op_memory = memory_budget
-            .map_or(self.inner.config.op_memory, |b| self.inner.config.op_memory.min(b));
+        let op_memory = self.inner.config.op_memory.min(memory_budget);
         let cfg = JobGenConfig {
             dop: self.inner.config.partitions.max(1),
             sort_memory: op_memory,
@@ -725,31 +693,24 @@ impl Instance {
         loop {
             attempt += 1;
             // A fresh token per attempt: a cancelled or timed-out attempt
-            // must not poison its successor. When a handle is attached, the
-            // attempt token is installed in its control slot *before* the
-            // handle token is re-checked, so a `cancel()` landing between
-            // attempts always trips one of the two.
-            let token = if let Some(ctrl) = control {
-                let t = CancellationToken::new();
-                *ctrl.attempt.lock() = Some(t.clone());
-                if let Err(e) = ctrl.token.check() {
-                    *ctrl.attempt.lock() = None;
-                    return Err(CoreError::Hyracks(e));
-                }
-                Some(t)
-            } else {
-                None
-            };
-            let opts = JobOptions { token, deadline, workers: None };
+            // must not poison its successor. The attempt token is installed
+            // in the handle's control slot *before* the handle token is
+            // re-checked, so a `cancel()` landing between attempts always
+            // trips one of the two.
+            let token = CancellationToken::new();
+            *control.attempt.lock() = Some(token.clone());
+            if let Err(e) = control.token.check() {
+                *control.attempt.lock() = None;
+                return Err(CoreError::Hyracks(e));
+            }
+            let opts = JobOptions { token: Some(token), deadline, workers: None };
             let outcome = jobgen::execute_profiled_with(
                 &plan,
                 &cfg,
                 Arc::clone(&self.inner.ctx),
                 opts,
             );
-            if let Some(ctrl) = control {
-                *ctrl.attempt.lock() = None;
-            }
+            *control.attempt.lock() = None;
             let err = match outcome {
                 Ok((rows, profile)) => return Ok((rows, profile)),
                 Err(e) => CoreError::from(e),
@@ -774,18 +735,6 @@ impl Instance {
                 std::thread::sleep(backoff);
             }
         }
-    }
-
-    /// Per-operator profile tree of the most recently completed query
-    /// (EXPLAIN PROFILE-style), or `None` before the first query. DML that
-    /// runs an internal query (e.g. DELETE's victim scan) updates it too.
-    ///
-    /// Deprecated facade: with concurrent clients "most recent" is a race —
-    /// whichever query finishes last wins. Concurrent callers should read
-    /// [`crate::scheduler::QueryHandle::profile`], which is always the
-    /// handle's own query.
-    pub fn last_profile(&self) -> Option<asterix_obs::JobProfile> {
-        self.inner.last_profile.lock().clone()
     }
 
     /// Cluster-wide metrics snapshot: the dataflow runtime's registry plus

@@ -16,19 +16,28 @@
 //!    *eager* admission (pool and concurrency slot free, nobody queued ahead)
 //!    or a queue entry. A full queue or an impossible budget (larger than the
 //!    whole pool) rejects right here with [`CoreError::Saturated`].
-//! 2. A worker thread redeems the ticket ([`QueryScheduler`] internal
-//!    `admit_wait`), blocking until the query is at the head of the queue
-//!    *and* both a concurrency slot and its memory budget are free. Admission
-//!    order is strict priority-then-FIFO with no bypass: a small query never
-//!    overtakes the queue head even when it would fit, which trades a little
-//!    utilization for a starvation-freedom guarantee.
+//! 2. [`QueryHandle::wait`] redeems the ticket ([`QueryScheduler`]
+//!    internal `admit_wait`) and then runs the query, both on the thread
+//!    that waits. Redeeming blocks until the query is at the head of the
+//!    queue *and* both a concurrency slot and its memory budget are free.
+//!    Admission order is strict priority-then-FIFO with no bypass: a small
+//!    query never overtakes the queue head even when it would fit, which
+//!    trades a little utilization for a starvation-freedom guarantee. A
+//!    thread waiting on a queued handle therefore blocks until that handle
+//!    reaches the head; a client with several queries in flight waits on
+//!    each from its own thread. A handle dropped without `wait` withdraws
+//!    its ticket and never runs.
 //! 3. The returned `AdmissionGuard` releases the budget and slot on drop —
 //!    success, failure, and panic paths all return resources to the pool.
 //!
-//! Cancellation works at every stage: a queued query that is cancelled
-//! removes itself from the queue and reports the typed
-//! [`HyracksError::Cancelled`](asterix_hyracks::HyracksError); a running
-//! query trips its current attempt's job token.
+//! Cancellation works at every stage: a cancelled queued query is withdrawn
+//! from the queue by its waiter (or by dropping its handle) and reports the
+//! typed [`HyracksError::Cancelled`](asterix_hyracks::HyracksError); a
+//! running query trips its current attempt's job token.
+//!
+//! [`Instance::query`] and [`Instance::execute`] take the same path: they
+//! reserve with default [`QueryOptions`] and wait on the calling thread, as
+//! does the query inside a DELETE or INSERT.
 //!
 //! # Interaction with the morsel executor
 //!
@@ -57,6 +66,7 @@ use crate::instance::Instance;
 use asterix_adm::Value;
 use asterix_hyracks::CancellationToken;
 use asterix_obs::{Counter, JobProfile, MetricsRegistry};
+use asterix_sqlpp::ast::Query;
 use asterix_storage::lock_order;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,7 +81,9 @@ pub struct SchedulerConfig {
     /// Budget reserved for a query that does not specify one
     /// ([`QueryOptions::memory`]).
     pub default_query_memory: usize,
-    /// Maximum concurrently *executing* queries, independent of memory.
+    /// Maximum queries holding an admission slot at once, independent of
+    /// memory. A handle admitted eagerly at submit holds its slot until it
+    /// is waited on (and runs) or dropped.
     pub max_concurrent: usize,
     /// Maximum queries waiting for admission; submissions beyond this are
     /// refused with [`CoreError::Saturated`].
@@ -154,7 +166,8 @@ pub struct PoolSnapshot {
     pub total_memory: usize,
     /// Memory not currently reserved by an admitted query.
     pub free_memory: usize,
-    /// Queries currently holding an admission (executing).
+    /// Queries currently holding an admission slot: executing, or admitted
+    /// eagerly at submit and not yet waited on.
     pub running: usize,
     /// Queries waiting in the admission queue.
     pub queued: usize,
@@ -327,7 +340,7 @@ impl QueryScheduler {
 }
 
 /// A reserved admission: either eagerly admitted or a queue entry. Dropping
-/// an unredeemed ticket (e.g. worker-thread spawn failure) rolls the
+/// an unredeemed ticket (a handle dropped without `wait`) rolls the
 /// reservation back.
 pub(crate) struct Ticket {
     sched: Arc<QueryScheduler>,
@@ -370,50 +383,75 @@ impl Drop for AdmissionGuard {
     }
 }
 
-/// Cancellation plumbing shared between a [`QueryHandle`] and the worker
-/// executing its query. The handle-level token lives for the whole query;
-/// each execution attempt runs under its own fresh job token (a cancelled
-/// or timed-out attempt must not poison a retry), so cancelling a running
-/// query has to trip *both*: the handle token stops the retry loop, the
-/// attempt token unwinds the dataflow currently executing.
+/// Cancellation plumbing of one [`QueryHandle`]. The handle-level token
+/// lives for the whole query; each execution attempt runs under its own
+/// fresh job token (a cancelled or timed-out attempt must not poison a
+/// retry), so cancelling a running query has to trip *both*: the handle
+/// token stops the retry loop, the attempt token unwinds the dataflow
+/// currently executing.
 pub(crate) struct QueryControl {
     /// Query-lifetime cancel signal.
     pub(crate) token: CancellationToken,
-    /// Job token of the attempt currently executing, if any. The worker
-    /// installs the attempt token *before* re-checking `token`, so a cancel
-    /// that lands between attempts is never lost.
+    /// Job token of the attempt currently executing, if any. The waiting
+    /// thread installs the attempt token *before* re-checking `token`, so a
+    /// cancel that lands between attempts is never lost.
     pub(crate) attempt: Mutex<Option<CancellationToken>>,
 }
 
-/// Terminal state of a finished query, written once by the worker.
-struct HandleState {
-    done: bool,
-    /// Taken (once) by `wait`.
-    outcome: Option<Result<Vec<Value>>>,
-    profile: Option<JobProfile>,
-}
-
-struct HandleShared {
-    state: Mutex<HandleState>,
-    cv: Condvar,
-    control: QueryControl,
-}
-
-/// A submitted query: cancel it, wait for its rows, read its profile. The
+/// A submitted query: wait for its rows, cancel it, read its profile. The
 /// handle is the *only* place this query's results and profile surface —
-/// queries submitted through different sessions can never observe each
-/// other's state (unlike the deprecated instance-wide
-/// [`Instance::last_profile`]). Dropping the handle without waiting
-/// detaches the query; it runs to completion and its resources are
-/// released normally.
+/// queries submitted through different sessions never observe each
+/// other's state.
+///
+/// The query runs inside [`QueryHandle::wait`], on the thread that waits:
+/// `wait` redeems the admission reservation taken at submit and then
+/// executes the job. A thread that waits on a queued handle blocks until
+/// that handle reaches the head of the queue and its budget is free, so a
+/// client that keeps several queries in flight waits on each from its own
+/// thread. Dropping a handle that was never waited on withdraws it: the
+/// query never runs and its reservation returns to the pool.
 pub struct QueryHandle {
     id: u64,
     session: u64,
-    shared: Arc<HandleShared>,
-    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
+    instance: Instance,
+    query: Query,
+    deadline: Option<Duration>,
+    control: QueryControl,
+    /// The admission reservation, until the first `wait` redeems it.
+    ticket: Mutex<Option<Ticket>>,
+    profile: Mutex<Option<JobProfile>>,
 }
 
 impl QueryHandle {
+    /// Reserves admission for a parsed query: eager admission or a queue
+    /// slot, or the typed [`CoreError::Saturated`] refusal.
+    pub(crate) fn reserve(
+        instance: &Instance,
+        session: u64,
+        query: Query,
+        opts: QueryOptions,
+    ) -> Result<QueryHandle> {
+        let sched = instance.scheduler();
+        let budget = opts
+            .memory
+            .unwrap_or(sched.config().default_query_memory)
+            .max(1);
+        let ticket = sched.enqueue(budget, opts.priority)?;
+        Ok(QueryHandle {
+            id: ticket.id,
+            session,
+            instance: instance.clone(),
+            query,
+            deadline: opts.deadline.or(instance.default_deadline()),
+            control: QueryControl {
+                token: CancellationToken::new(),
+                attempt: Mutex::new(None),
+            },
+            ticket: Mutex::new(Some(ticket)),
+            profile: Mutex::new(None),
+        })
+    }
+
     /// Instance-wide query id (admission ticket number).
     pub fn id(&self) -> u64 {
         self.id
@@ -424,51 +462,40 @@ impl QueryHandle {
         self.session
     }
 
-    /// Cancels this query — and only this query. Queued: it withdraws from
-    /// the admission queue. Running: every worker of the current attempt
-    /// observes the token and unwinds. Either way [`QueryHandle::wait`]
-    /// returns the typed
+    /// Cancels this query — and only this query. Queued: its waiter
+    /// withdraws it from the admission queue. Running: every worker of the
+    /// current attempt observes the token and unwinds. Either way
+    /// [`QueryHandle::wait`] returns the typed
     /// [`HyracksError::Cancelled`](asterix_hyracks::HyracksError) carrying
     /// `reason`. Returns true if this call tripped a live token.
     pub fn cancel(&self, reason: &str) -> bool {
-        let handle_tripped = self.shared.control.token.cancel(reason);
-        let attempt = self.shared.control.attempt.lock().clone();
+        let handle_tripped = self.control.token.cancel(reason);
+        let attempt = self.control.attempt.lock().clone();
         let attempt_tripped = attempt.is_some_and(|t| t.cancel(reason));
         handle_tripped || attempt_tripped
     }
 
-    /// True once the query has finished (rows ready or failed).
-    pub fn is_finished(&self) -> bool {
-        self.shared.state.lock().done
-    }
-
-    /// Blocks until the query finishes and returns its rows (or its typed
-    /// error). The outcome is consumed: a second `wait` reports an error.
-    pub fn wait(&self) -> Result<Vec<Value>> { // xlint: allow(blocking, "admission wait parks the submitting session thread by design; pool workers never call submit")
-        let outcome = {
-            let mut st = self.shared.state.lock();
-            while !st.done {
-                self.shared.cv.wait(&mut st);
-            }
-            st.outcome.take()
-        };
-        // Reap the worker thread (first waiter only; harmless if detached).
-        let worker = self.worker.lock().take();
-        if let Some(jh) = worker {
-            let _ = jh.join();
-        }
-        match outcome {
-            Some(r) => r,
-            None => Err(CoreError::Unsupported(
+    /// Runs the query on the calling thread and returns its rows (or its
+    /// typed error): blocks until admission, then executes. The outcome is
+    /// consumed: a second `wait` reports an error.
+    pub fn wait(&self) -> Result<Vec<Value>> { // xlint: allow(blocking, "wait parks on admission and then executes the query on the calling session thread by design; pool workers never call wait")
+        let Some(ticket) = self.ticket.lock().take() else {
+            return Err(CoreError::Unsupported(
                 "query outcome already consumed by an earlier wait()".into(),
-            )),
-        }
+            ));
+        };
+        let budget = ticket.budget;
+        let _admission = self.instance.scheduler().admit_wait(ticket, &self.control.token)?;
+        let (rows, profile) =
+            self.instance.run_query_profiled(&self.query, self.deadline, &self.control, budget)?;
+        *self.profile.lock() = Some(profile);
+        Ok(rows)
     }
 
     /// Per-operator profile tree of *this* query, available once it
     /// completes successfully. Never shows another query's tree.
     pub fn profile(&self) -> Option<JobProfile> {
-        self.shared.state.lock().profile.clone()
+        self.profile.lock().clone()
     }
 }
 
@@ -504,58 +531,7 @@ impl Session {
         // Parse up front: a malformed query is the submitter's error and
         // should be typed and synchronous, not deferred to `wait`.
         let query = self.instance.parse_single_query(text)?;
-        let sched = Arc::clone(self.instance.scheduler());
-        let budget = opts
-            .memory
-            .unwrap_or(sched.config().default_query_memory)
-            .max(1);
-        let deadline = opts.deadline.or(self.instance.default_deadline());
-        let ticket = sched.enqueue(budget, opts.priority)?;
-        let id = ticket.id;
-        let shared = Arc::new(HandleShared {
-            state: Mutex::new(HandleState { done: false, outcome: None, profile: None }),
-            cv: Condvar::new(),
-            control: QueryControl {
-                token: CancellationToken::new(),
-                attempt: Mutex::new(None),
-            },
-        });
-        let instance = self.instance.clone();
-        let worker_shared = Arc::clone(&shared);
-        let worker = std::thread::Builder::new()
-            .name(format!("serve-q{id}"))
-            .spawn(move || {
-                let result = (|| {
-                    let _admission = sched.admit_wait(ticket, &worker_shared.control.token)?;
-                    instance.run_query_profiled(
-                        &query,
-                        deadline,
-                        Some(&worker_shared.control),
-                        Some(budget),
-                    )
-                })();
-                let mut st = worker_shared.state.lock();
-                match result {
-                    Ok((rows, profile)) => {
-                        // The profile also feeds the deprecated instance-wide
-                        // facade; the handle copy is this query's own.
-                        instance.store_last_profile(profile.clone());
-                        st.outcome = Some(Ok(rows));
-                        st.profile = Some(profile);
-                    }
-                    Err(e) => st.outcome = Some(Err(e)),
-                }
-                st.done = true;
-                drop(st);
-                worker_shared.cv.notify_all();
-            })
-            .map_err(CoreError::Io)?;
-        Ok(QueryHandle {
-            id,
-            session: self.id,
-            shared,
-            worker: Mutex::new(Some(worker)),
-        })
+        QueryHandle::reserve(&self.instance, self.id, query, opts)
     }
 }
 

@@ -2,6 +2,7 @@
 //! success under the instance retry policy, or surfaces a typed transient
 //! error without one — never a hang, never a silently truncated result.
 
+use asterix_core::scheduler::QueryOptions;
 use asterix_core::{Instance, InstanceConfig, RetryPolicy};
 use std::time::Duration;
 
@@ -117,19 +118,15 @@ fn expired_deadline_is_fatal_and_never_retried() {
         restart_dead_nodes: true,
     });
     let before = db.metrics_snapshot().counter("core.query.retries").unwrap_or(0);
+    let opts = QueryOptions { deadline: Some(Duration::ZERO), ..Default::default() };
     let err = db
-        .query_with_deadline("SELECT VALUE d.v FROM D d", Duration::ZERO)
+        .session()
+        .submit_with("SELECT VALUE d.v FROM D d", opts)
+        .unwrap()
+        .wait()
         .unwrap_err();
     assert!(!err.is_transient(), "deadline errors must not be retried: {err}");
     assert!(err.to_string().contains("deadline"), "{err}");
     let after = db.metrics_snapshot().counter("core.query.retries").unwrap_or(0);
     assert_eq!(before, after, "a deadline failure must not consume retries");
-}
-
-#[test]
-fn cancel_job_without_a_running_job_is_a_noop() {
-    let db = setup(RetryPolicy::default());
-    assert!(!db.cancel_job("nothing to cancel"));
-    // and the instance still serves queries afterwards
-    assert_eq!(db.query("SELECT VALUE d.v FROM D d").unwrap().len(), 200);
 }
