@@ -4,8 +4,10 @@
 //! One module per experiment in DESIGN.md's experiment index (E1–E13), each
 //! regenerating the paper-shaped table for one figure or empirical claim of
 //! "AsterixDB Mid-Flight" (ICDE 2019). The `repro` binary runs them and
-//! prints the tables recorded in EXPERIMENTS.md; the Criterion benches in
-//! `benches/` micro-benchmark the same code paths.
+//! prints the tables recorded in EXPERIMENTS.md. It is the crate's only
+//! harness: its `hotpath`, `serving` and `feeds` suites write the measured
+//! `BENCH_*.json` baselines, and `chaos` and `profile` drive the fault and
+//! per-operator profile runs.
 
 pub mod chaos;
 pub mod experiments;

@@ -465,11 +465,6 @@ impl DatasetPartition {
         Ok(())
     }
 
-    /// Primary-index LSM statistics.
-    pub fn primary_stats(&self) -> asterix_storage::lsm::LsmStats {
-        self.primary.stats()
-    }
-
     /// Encoded size of one record under this partition's layout (E10's
     /// storage metric).
     pub fn encoded_len(&self, record: &Value) -> Result<usize> {

@@ -189,11 +189,6 @@ impl Cluster {
         self.nodes.iter().map(|n| n.stats().physical_reads()).sum()
     }
 
-    /// Aggregate physical writes across nodes.
-    pub fn total_physical_writes(&self) -> u64 {
-        self.nodes.iter().map(|n| n.stats().physical_writes()).sum()
-    }
-
     /// Resets all node I/O counters.
     pub fn reset_stats(&self) {
         for n in &self.nodes {

@@ -292,19 +292,6 @@ impl FileManager {
             pages: 0,
         })
     }
-
-    /// Lists files currently open under this manager (name → id).
-    pub fn open_files(&self) -> Vec<(String, FileId)> {
-        self.files
-            .read()
-            .iter()
-            .map(|(id, f)| {
-                let f = f.read();
-                let name = f.path.file_name().unwrap_or(f.path.as_os_str());
-                (name.to_string_lossy().into_owned(), *id)
-            })
-            .collect()
-    }
 }
 
 /// Buffered sequential page writer used by bulk loads (B+ tree / R-tree

@@ -953,11 +953,6 @@ impl LsmTree {
         self.shared.disk.lock().len()
     }
 
-    /// Entries currently buffered in memory.
-    pub fn mem_entries(&self) -> usize {
-        self.mem.len()
-    }
-
     /// Inserts or replaces `key`. Flushes automatically past the budget.
     pub fn upsert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<()> {
         self.shared.stats.entries_ingested.fetch_add(1, AtomicOrdering::Relaxed);

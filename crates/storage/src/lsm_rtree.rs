@@ -87,11 +87,6 @@ impl LsmRTree {
         self.disk.len()
     }
 
-    /// Total tree pages across disk components (E11's size metric).
-    pub fn disk_pages(&self) -> u64 {
-        self.disk.iter().map(|c| c.rtree.data_pages()).sum()
-    }
-
     /// Inserts an entry; flushes past the memory budget.
     pub fn insert(&mut self, mbr: Rectangle, key: Vec<u8>) -> Result<()> {
         // An insert revives a key: drop any pending tombstone for it.
